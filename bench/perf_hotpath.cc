@@ -21,7 +21,9 @@
  *   --measure N    measured instructions per CPU (default 1000000)
  *   --warmup N     functional warmup misses (default 50000)
  *   --workload W   workload preset (default barnes)
- *   --threads N    shard threads for the parallel config (default 4)
+ *   --threads N    shard threads for the parallel configs (default 4)
+ *   --config NAME  run one config only; snooping-par (the snooping
+ *                  config on the sharded kernel) runs only this way
  *   --nodes N      processors (default 16)
  *   --hubs N       address-interleaved ordering hubs (default 1)
  *   --cluster N    nodes per cluster, 0 = flat (default 0)
@@ -522,12 +524,16 @@ main(int argc, char **argv)
     // processor models' hot paths -- and the Figure-7 multicast
     // config again on the sharded kernel, exercising --threads host
     // threads (its figure statistics are bit-identical to the
-    // single-threaded run; only the wall clock moves).
+    // single-threaded run; only the wall clock moves). snooping-par
+    // runs only when --config names it: check.sh's K=1 vs K=4 diff of
+    // the broadcast protocol, whose contended link-only deliveries
+    // multicast never produces.
     struct Config {
         const char *name;
         ProtocolKind protocol;
         CpuModel cpuModel;
         bool sharded;
+        bool onRequest = false;
     };
     const Config configs[] = {
         {"snooping", ProtocolKind::Snooping, CpuModel::Simple, false},
@@ -537,11 +543,14 @@ main(int argc, char **argv)
          CpuModel::Detailed, false},
         {"multicast-owner-group-par", ProtocolKind::Multicast,
          CpuModel::Simple, true},
+        {"snooping-par", ProtocolKind::Snooping, CpuModel::Simple, true,
+         true},
     };
 
     std::vector<ConfigResult> results;
     for (const Config &config : configs) {
-        if (!opt.onlyConfig.empty() && opt.onlyConfig != config.name)
+        if (opt.onlyConfig.empty() ? config.onRequest
+                                   : opt.onlyConfig != config.name)
             continue;
         results.push_back(runConfig(opt, config.name, config.protocol,
                                     PredictorPolicy::OwnerGroup,

@@ -14,7 +14,8 @@
 #      config is run with --threads 1 and --threads 4 and every
 #      deterministic figure statistic must match bit-for-bit -- first
 #      on the paper's 16-node machine, then on a 64-node hierarchical
-#      4-hub machine (the configs/fig6_scaling.conf shape).
+#      4-hub machine (the configs/fig6_scaling.conf shape), and the
+#      snooping config once more on the 64-node machine.
 #   5. sweep-driver crash-tolerance smoke (scripts/sweep_smoke.sh):
 #      a seeded fault-injection sweep must terminate with the expected
 #      failed rows, and resuming it must produce an aggregate table
@@ -350,35 +351,45 @@ echo "determinism: --threads 1 == --threads 4 on all figure stats"
 # configs/fig6_scaling.conf shape, docs/machine_topology.md). This
 # exercises the parameterized topology, multi-hub ordering, and the
 # 64-node txn-id/oracle-buffer regressions end to end in CI without
-# paying for a full scaling sweep.
-DET64_1=build/BENCH_det64_t1.json
-DET64_4=build/BENCH_det64_t4.json
-./build/bench_perf_hotpath --config multicast-owner-group-par \
-    --nodes 64 --hubs 4 --cluster 16 --switch-ns 15 \
-    --measure 20000 --warmup 5000 --threads 1 --out "$DET64_1" \
-    > /dev/null
-./build/bench_perf_hotpath --config multicast-owner-group-par \
-    --nodes 64 --hubs 4 --cluster 16 --switch-ns 15 \
-    --measure 20000 --warmup 5000 --threads 4 --hub-shard \
-    --out "$DET64_4" > /dev/null
-validate_bench_json "$DET64_1"
-validate_bench_json "$DET64_4"
-for f in "$DET64_1" "$DET64_4"; do
-    n="$(extract_det "$f" | wc -l)"
-    if [[ "$n" -ne "$DET_FIELDS" ]]; then
-        echo "check.sh: 64-node determinism extraction found" \
-             "$n/$DET_FIELDS stat fields in $f -- extractor out of" \
-             "sync with the bench JSON" >&2
+# paying for a full scaling sweep. It runs for multicast and again for
+# snooping: 64-way broadcasts are the only fan-outs whose contended
+# deliveries are mostly link-only (booked at the ingress link, never
+# refired), a path the multicast config never takes.
+det64_cross_check() {
+    local config="$1"
+    local t1="build/BENCH_det64_${config}_t1.json"
+    local t4="build/BENCH_det64_${config}_t4.json"
+    ./build/bench_perf_hotpath --config "$config" \
+        --nodes 64 --hubs 4 --cluster 16 --switch-ns 15 \
+        --measure 20000 --warmup 5000 --threads 1 --out "$t1" \
+        > /dev/null
+    ./build/bench_perf_hotpath --config "$config" \
+        --nodes 64 --hubs 4 --cluster 16 --switch-ns 15 \
+        --measure 20000 --warmup 5000 --threads 4 --hub-shard \
+        --out "$t4" > /dev/null
+    validate_bench_json "$t1"
+    validate_bench_json "$t4"
+    local f n
+    for f in "$t1" "$t4"; do
+        n="$(extract_det "$f" | wc -l)"
+        if [[ "$n" -ne "$DET_FIELDS" ]]; then
+            echo "check.sh: 64-node determinism extraction found" \
+                 "$n/$DET_FIELDS stat fields in $f -- extractor out" \
+                 "of sync with the bench JSON" >&2
+            exit 1
+        fi
+    done
+    if ! diff <(extract_det "$t1") <(extract_det "$t4"); then
+        echo "check.sh: DETERMINISM FAILURE -- 64-node hierarchical" \
+             "$config --threads 4 diverged from --threads 1 (see" \
+             "diff above)" >&2
         exit 1
     fi
-done
-if ! diff <(extract_det "$DET64_1") <(extract_det "$DET64_4"); then
-    echo "check.sh: DETERMINISM FAILURE -- 64-node hierarchical" \
-         "--threads 4 diverged from --threads 1 (see diff above)" >&2
-    exit 1
-fi
-echo "determinism: 64-node 4-hub hierarchical machine," \
-     "--threads 1 == --threads 4"
+    echo "determinism: 64-node 4-hub hierarchical machine, $config," \
+         "--threads 1 == --threads 4"
+}
+det64_cross_check multicast-owner-group-par
+det64_cross_check snooping-par
 
 # Refuse to install a fresh baseline that lost configs (e.g. a bench
 # crash after a partial write): the perf guard would silently stop

@@ -15,6 +15,14 @@
  * endpoint links; their latency depends on whether source and
  * destination share a cluster (see interconnect/topology.hh).
  *
+ * Link-only deliveries: most of a snooping broadcast's destinations
+ * have nothing to do with the request -- the delivery exists only to
+ * occupy that node's ingress link. The owner installs a duty
+ * predicate (System::deliveryHasDuty); a contended ordered delivery
+ * the predicate rejects books the link and counts its traffic on
+ * arrival, exactly like any other, but schedules no refire at the
+ * link-free tick, since the handler would do nothing there.
+ *
  * Sharding discipline: every piece of crossbar state is owned by
  * exactly one kernel domain and touched only while that domain
  * executes. A node's egress link is booked at send time (the sender's
@@ -78,10 +86,12 @@ struct TrafficStats {
 };
 
 /**
- * The interconnect. The owner (System) installs two callbacks:
+ * The interconnect. The owner (System) installs three callbacks:
  * onOrder fires once per ordered message at its serialization tick
- * (where the functional coherence transaction is applied), and
- * onDeliver fires per (message, destination) at its delivery tick.
+ * (where the functional coherence transaction is applied), onDeliver
+ * fires per (message, destination) at its delivery tick, and the duty
+ * predicate says whether an ordered delivery's handler call can do
+ * anything at all (see the link-only note in the file comment).
  *
  * The order handler receives the shared payload handle so the owner
  * can stamp the transaction echo into it (it is still exclusive at
@@ -95,6 +105,7 @@ class OrderedCrossbar
     using OrderHandler = std::function<void(const MessageRef &, Tick)>;
     using DeliverHandler =
         std::function<void(const Message &, NodeId, Tick)>;
+    using DutyPredicate = std::function<bool(const Message &, NodeId)>;
 
     /**
      * Sharded-kernel form: `hub_ports` are the ordering points'
@@ -111,6 +122,12 @@ class OrderedCrossbar
 
     void setOrderHandler(OrderHandler handler);
     void setDeliverHandler(DeliverHandler handler);
+
+    /** Install the duty predicate: consulted only for a Request/Retry
+     *  whose ingress link is busy on arrival, in the destination's
+     *  domain, so it must be a pure function of its arguments. Without
+     *  one, every delivery reaches the handler. */
+    void setDutyPredicate(DutyPredicate predicate);
 
     /**
      * Send an ordered multicast (Request/Retry). The message moves
@@ -181,7 +198,9 @@ class OrderedCrossbar
 
     /** Pooled event: one (payload handle, destination) delivery --
      *  first firing books the ingress link, a contended delivery
-     *  refires at the link-free tick. */
+     *  refires at the link-free tick unless it is link-only (the duty
+     *  predicate rejects it), in which case the booking is its whole
+     *  effect. */
     struct DeliverEvent;
 
     /** Pooled event: one fan-out's deliveries bound for one shard
@@ -235,12 +254,13 @@ class OrderedCrossbar
 
     /** First arrival of a delivery at `dest`: count it, book the
      *  ingress link, and either fire the handler or refire at the
-     *  contended tick. */
+     *  contended tick (link-only deliveries do neither). */
     void arriveAtDest(const MessageRef &msg, NodeId dest, Tick now);
 
     /** Arrival bookkeeping shared by all delivery shapes: count the
      *  traffic, book the ingress link, and deliver if the link is
-     *  free. Returns maxTick when delivered, else the contended start
+     *  free. Returns maxTick when the delivery is finished (delivered
+     *  now, or contended but link-only), else the contended start
      *  tick the caller must refire at (the link is already booked). */
     Tick ingressArrival(const MessageRef &msg, NodeId dest, Tick now);
 
@@ -263,6 +283,7 @@ class OrderedCrossbar
 
     OrderHandler onOrder_;
     DeliverHandler onDeliver_;
+    DutyPredicate hasDuty_;
 
     std::vector<HubState> hubs_;
     std::vector<NodeState> nodes_;

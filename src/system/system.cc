@@ -173,6 +173,9 @@ System::System(Workload &workload, const SystemParams &params)
         [this](const Message &msg, NodeId dest, Tick tick) {
             onDeliver(msg, dest, tick);
         });
+    crossbar_.setDutyPredicate([this](const Message &msg, NodeId dest) {
+        return deliveryHasDuty(msg, dest);
+    });
 }
 
 System::~System() = default;
@@ -547,6 +550,18 @@ System::orderWithReorderMutation(Message &msg, BlockId block,
     return true;
 }
 
+bool
+System::deliveryHasDuty(const Message &msg, NodeId dest) const
+{
+    if (params_.protocol == ProtocolKind::Multicast)
+        return true;
+    const TxnEcho &echo = msg.echo;
+    return dest == homeOf_(msg.block()) || dest == echo.requester ||
+           dest == echo.responder ||
+           (msg.type == RequestType::GetExclusive &&
+            echo.required.contains(dest));
+}
+
 void
 System::onDeliver(const Message &msg, NodeId dest, Tick tick)
 {
@@ -558,8 +573,8 @@ System::onDeliver(const Message &msg, NodeId dest, Tick tick)
         // Oracle witness: this delivery obliges `dest` to invalidate
         // (resolved GETX snoop naming it in the required set).
         // Recorded at the dispatcher -- independent of the controller
-        // that must act -- so a controller that drops the
-        // invalidation is caught, not believed.
+        // that must act, and of the duty predicate below -- so a
+        // dropped invalidation is caught, not believed.
         if (verify::armed(oracle_.get()) &&
             params_.protocol != ProtocolKind::Directory &&
             msg.type == RequestType::GetExclusive && echo.resolved &&
@@ -567,6 +582,12 @@ System::onDeliver(const Message &msg, NodeId dest, Tick tick)
             echo.required.contains(dest) && dest != echo.requester) {
             oracle_->recordInvalDue(dest, msg.block(), msg.txn, tick);
         }
+
+        // Everything below is keyed on one of the duties; a wrong
+        // predicate shows on the uncontended path too, not only where
+        // the crossbar skips a refire.
+        if (!deliveryHasDuty(msg, dest))
+            return;
 
         // External requests are a predictor training cue (Sec. 3.2).
         if (params_.protocol == ProtocolKind::Multicast &&

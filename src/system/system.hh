@@ -469,6 +469,17 @@ class System
     void onOrder(const MessageRef &msg, Tick tick);
     void onDeliver(const Message &msg, NodeId dest, Tick tick);
 
+    /**
+     * Whether delivering the Request/Retry `msg` to `dest` can do
+     * anything beyond occupying dest's ingress link. Every Multicast
+     * delivery has a duty (predictor training); under snooping and
+     * directory only the home, the requester, the responder and a
+     * GETX sharer in echo.required have one. onDeliver returns early
+     * without a duty, and the crossbar uses the same predicate to
+     * drop the refire of a contended link-only delivery.
+     */
+    bool deliveryHasDuty(const Message &msg, NodeId dest) const;
+
     /** ReorderHubGrants mutation: maybe stash this GETX's tracker
      *  apply (or retro-apply a stashed one). True = order handled. */
     bool orderWithReorderMutation(Message &msg, BlockId block,

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "interconnect/crossbar.hh"
@@ -428,6 +429,108 @@ TEST(Crossbar, MultiHubOrderingIsPerHub)
     EXPECT_EQ(orders[1].second, nsToTicks(25.0));
     EXPECT_GT(orders[2].second, orders[0].second);
 }
+
+/**
+ * Link-only deliveries: a contended Request whose destination the
+ * duty predicate rejects books the ingress link and counts its
+ * traffic, but never refires, so its handler never runs. Three
+ * ordered requests land on node 5 back to back (two broadcasts, then
+ * a single-destination request -- the fused path's lone-delivery
+ * shape); a Data message to node 5 then arrives while the link is
+ * still booked by the last of them and must land exactly where it
+ * lands without the predicate.
+ */
+struct LinkOnlyRun {
+    std::vector<std::pair<TxnId, NodeId>> delivered;
+    Tick dataTick = 0;
+    std::uint64_t executed = 0;
+    std::uint64_t requestMessages = 0;
+    std::uint64_t totalBytes = 0;
+};
+
+bool
+linkOnly(NodeId dest)
+{
+    return dest % 2 == 1 && dest >= 3;
+}
+
+LinkOnlyRun
+runLinkOnlyScenario(bool fuse, bool predicate)
+{
+    CrossbarParams params;
+    params.fuse_chains = fuse;
+    EventQueue q;
+    OrderedCrossbar xbar(q, kNodes, params);
+    LinkOnlyRun run;
+    xbar.setDeliverHandler(
+        [&](const Message &msg, NodeId dest, Tick t) {
+            if (msg.kind == MessageKind::Data)
+                run.dataTick = t;
+            else
+                run.delivered.push_back({msg.txn, dest});
+        });
+    if (predicate) {
+        xbar.setDutyPredicate([](const Message &, NodeId dest) {
+            return !linkOnly(dest);
+        });
+    }
+    xbar.sendOrdered(request(0, DestinationSet::all(kNodes), 1));
+    xbar.sendOrdered(request(1, DestinationSet::all(kNodes), 2));
+    xbar.sendOrdered(request(2, DestinationSet::of(5), 3));
+    // Arrives at 51.5 ns: inside txn 3's booking of node 5's link.
+    q.schedule(nsToTicks(1.5), [&xbar] { xbar.sendDirect(data(3, 5)); });
+    q.run();
+    run.executed = q.executed();
+    run.requestMessages = xbar.traffic(MessageKind::Request).messages;
+    run.totalBytes = xbar.totalBytes();
+    return run;
+}
+
+class CrossbarLinkOnly : public ::testing::TestWithParam<bool>
+{
+};
+
+TEST_P(CrossbarLinkOnly, ContendedLinkOnlyDeliveriesDoNotRefire)
+{
+    const bool fuse = GetParam();
+    LinkOnlyRun plain = runLinkOnlyScenario(fuse, false);
+    LinkOnlyRun skip = runLinkOnlyScenario(fuse, true);
+
+    // Without a predicate every delivery reaches the handler.
+    EXPECT_EQ(plain.delivered.size(), 2u * (kNodes - 1) + 1);
+
+    for (const auto &[txn, dest] : skip.delivered) {
+        // The first broadcast is uncontended everywhere, so it reaches
+        // every destination; the second contends at every link it
+        // shares with the first, and txn 3 contends at node 5.
+        if (txn != 1) {
+            EXPECT_FALSE(linkOnly(dest))
+                << "txn " << txn << " ran the handler at link-only "
+                << "node " << dest;
+        }
+    }
+    std::size_t link_only_nodes = 0;
+    for (NodeId n = 0; n < kNodes; ++n)
+        link_only_nodes += linkOnly(n) ? 1 : 0;
+    EXPECT_EQ(skip.delivered.size(),
+              plain.delivered.size() - link_only_nodes - 1);
+
+    // The bookings survived: the Data message waits behind txn 3's
+    // occupancy exactly as it does without the predicate.
+    EXPECT_EQ(skip.dataTick, plain.dataTick);
+    EXPECT_GT(skip.dataTick, nsToTicks(51.5));
+    EXPECT_EQ(skip.requestMessages, plain.requestMessages);
+    EXPECT_EQ(skip.totalBytes, plain.totalBytes);
+
+    EXPECT_LT(skip.executed, plain.executed);
+}
+
+INSTANTIATE_TEST_SUITE_P(FuseChains, CrossbarLinkOnly,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool> &info) {
+                             return info.param ? std::string("Fused")
+                                               : std::string("Unfused");
+                         });
 
 } // namespace
 } // namespace dsp

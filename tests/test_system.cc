@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "system/system.hh"
 #include "workload/region.hh"
@@ -530,24 +531,129 @@ TEST(SystemScaling, MultiHubMatchesSingleHubBitForBit)
     EXPECT_EQ(one.writebacks, four.writebacks);
 }
 
-/** The determinism contract at scale: K=4 shards over a 64-node
- *  4-hub machine match K=1 bit-for-bit on every figure statistic. */
-TEST(SystemScaling, ShardedBitEquivalenceAt64Nodes)
+/**
+ * The determinism contract at scale: K=4 shards over a 64-node 4-hub
+ * machine match K=1 bit-for-bit on every figure statistic and on the
+ * executed-event count, for every protocol. Snooping and directory
+ * cover the link-only delivery path (contended broadcast deliveries
+ * that end at the link booking), which multicast never takes.
+ */
+class ShardedBitEquivalence
+    : public ::testing::TestWithParam<ProtocolKind>
+{
+};
+
+TEST_P(ShardedBitEquivalence, At64Nodes)
 {
     auto run_once = [](unsigned shards) {
         auto workload = makeWorkload("oltp", 64, 13, 0.05);
-        System system(*workload,
-                      scaledParams(64, /* hubs */ 4, shards));
+        SystemParams params = scaledParams(64, /* hubs */ 4, shards);
+        params.protocol = GetParam();
+        System system(*workload, params);
         return system.run();
     };
     SystemStats k1 = run_once(1);
     SystemStats k4 = run_once(4);
+    EXPECT_GT(k1.misses, 0u);
     EXPECT_EQ(k1.runtimeTicks, k4.runtimeTicks);
     EXPECT_EQ(k1.misses, k4.misses);
     EXPECT_EQ(k1.retries, k4.retries);
     EXPECT_EQ(k1.trafficBytes, k4.trafficBytes);
     EXPECT_EQ(k1.indirections, k4.indirections);
     EXPECT_EQ(k1.writebacks, k4.writebacks);
+    EXPECT_EQ(k1.cacheToCache, k4.cacheToCache);
+    EXPECT_EQ(k1.avgMissLatencyNs, k4.avgMissLatencyNs);
+    EXPECT_EQ(k1.eventsExecuted, k4.eventsExecuted);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SystemScaling, ShardedBitEquivalence,
+    ::testing::Values(ProtocolKind::Multicast, ProtocolKind::Snooping,
+                      ProtocolKind::Directory),
+    [](const ::testing::TestParamInfo<ProtocolKind> &info) {
+        switch (info.param) {
+          case ProtocolKind::Snooping: return std::string("Snooping");
+          case ProtocolKind::Directory: return std::string("Directory");
+          default: return std::string("Multicast");
+        }
+    });
+
+/** Snooping's 64-way broadcasts at 64 nodes, with the oracle armed:
+ *  most deliveries are link-only and end at their link booking, and
+ *  every duty the oracle witnesses (a GETX sharer's invalidation)
+ *  must still be performed. */
+TEST(SystemScaling, SixtyFourNodeSnoopingOracleClean)
+{
+    auto workload = makeWorkload("oltp", 64, 11, 0.05);
+    SystemParams params = scaledParams(64, /* hubs */ 4);
+    params.protocol = ProtocolKind::Snooping;
+    params.verify.oracle = true;
+    System system(*workload, params);
+    SystemStats stats = system.run();
+    EXPECT_EQ(stats.instructions, 1500u * 64u);
+    EXPECT_GT(stats.misses, 0u);
+}
+
+/**
+ * Golden statistics: literal values of short snooping and directory
+ * runs on the 64-node machine with 4 hubs and clusters of 16 behind
+ * 15 ns switch legs (the configs/fig6_scaling.conf shape). Any change
+ * to a simulated statistic here is a change to the model's results.
+ *
+ * To regenerate: run each config below and print the pinned fields
+ * (%.17g for avgMissLatencyNs, so the double round-trips exactly).
+ * A regeneration must state in CHANGES.md why the values moved;
+ * eventsExecuted is a work counter, so it may fall with a kernel or
+ * interconnect optimisation while every other field stays put.
+ */
+struct GoldenStats {
+    Tick runtimeTicks;
+    std::uint64_t misses;
+    std::uint64_t trafficBytes;
+    std::uint64_t requestMessages;
+    std::uint64_t cacheToCache;
+    double avgMissLatencyNs;
+    std::uint64_t eventsExecuted;
+};
+
+SystemStats
+goldenRun(ProtocolKind protocol)
+{
+    auto workload = makeWorkload("oltp", 64, 21, 0.05);
+    SystemParams params = scaledParams(64, /* hubs */ 4);
+    params.protocol = protocol;
+    params.warmupInstrPerCpu = 3000;
+    params.measureInstrPerCpu = 3000;
+    params.crossbar.topology.cluster_size = 16;
+    params.crossbar.topology.switch_link_ns = 15.0;
+    System system(*workload, params);
+    return system.run();
+}
+
+void
+expectGolden(const SystemStats &got, const GoldenStats &want)
+{
+    EXPECT_EQ(got.runtimeTicks, want.runtimeTicks);
+    EXPECT_EQ(got.misses, want.misses);
+    EXPECT_EQ(got.trafficBytes, want.trafficBytes);
+    EXPECT_EQ(got.requestMessages, want.requestMessages);
+    EXPECT_EQ(got.cacheToCache, want.cacheToCache);
+    EXPECT_EQ(got.avgMissLatencyNs, want.avgMissLatencyNs);
+    EXPECT_EQ(got.eventsExecuted, want.eventsExecuted);
+}
+
+TEST(SystemGolden, Snooping64Nodes4Hubs)
+{
+    expectGolden(goldenRun(ProtocolKind::Snooping),
+                 {112571350, 21178, 12064248, 1334214, 746,
+                  218.65481159694019, 1446520});
+}
+
+TEST(SystemGolden, Directory64Nodes4Hubs)
+{
+    expectGolden(goldenRun(ProtocolKind::Directory),
+                 {118993300, 21174, 1576224, 21735, 738,
+                  234.79036318126006, 108902});
 }
 
 /**
